@@ -136,6 +136,9 @@ void BoincServer::on_observability() {
                  name());
   obs_results_sent_ = &m.counter("boinc.results_sent", "results",
                                  "result instances handed to a host", name());
+  obs_attempts_started_ =
+      &m.counter("grid.attempts_started", "attempts",
+                 "job attempts started on a local resource", name());
   obs_results_success_ =
       &m.counter("boinc.results_success", "results",
                  "result instances reported back successfully", name());
@@ -380,9 +383,12 @@ bool BoincServer::request_work(VolunteerHost& host) {
     }
     if (wu->grid_job != nullptr &&
         wu->grid_job->state == grid::JobState::kQueued) {
+      // The workunit's first result sent starts the grid job's attempt,
+      // the counterpart of a cluster attempt leaving its LRM queue.
       wu->grid_job->state = grid::JobState::kRunning;
       wu->grid_job->start_time = sim_.now();
       wu->grid_job->attempts += 1;
+      obs_attempts_started_->inc();
     }
     // The per-result overhead and data staging are wall-clock on the host,
     // so they enter the work ledger scaled by host speed. With the transfer

@@ -364,6 +364,7 @@ class BoincServer final : public grid::LocalResource {
   obs::Counter* obs_wu_failed_ = nullptr;
   obs::Counter* obs_results_issued_ = nullptr;
   obs::Counter* obs_results_sent_ = nullptr;
+  obs::Counter* obs_attempts_started_ = nullptr;
   obs::Counter* obs_results_success_ = nullptr;
   obs::Counter* obs_results_error_ = nullptr;
   obs::Counter* obs_results_timed_out_ = nullptr;

@@ -18,13 +18,19 @@ void RuntimeEstimator::rebuild(util::ThreadPool* pool) {
   dataset_ = corpus_to_dataset(corpus_, config_.log_space);
   forest_.fit(*dataset_, config_.forest, pool);
   observations_since_train_ = 0;
+  memo_features_.clear();
 }
 
 std::optional<double> RuntimeEstimator::predict(
     const GarliFeatures& features) const {
   if (!forest_.trained()) return std::nullopt;
-  const double raw = forest_.predict(to_feature_vector(features));
-  return config_.log_space ? std::exp(raw) : raw;
+  std::vector<double> row = to_feature_vector(features);
+  if (row != memo_features_) {
+    const double raw = forest_.predict(row);
+    memo_prediction_ = config_.log_space ? std::exp(raw) : raw;
+    memo_features_ = std::move(row);
+  }
+  return memo_prediction_;
 }
 
 void RuntimeEstimator::observe(const GarliFeatures& features, double runtime,

@@ -50,7 +50,10 @@ class RuntimeEstimator {
   std::size_t corpus_size() const { return corpus_.size(); }
 
   /// Predicted runtime in reference seconds. Returns nullopt before the
-  /// first training.
+  /// first training. Remembers the last feature vector and its prediction,
+  /// so the bundles of one batch (which share their features) walk the
+  /// forest once; the memo is not synchronized, so call predict from a
+  /// single thread.
   std::optional<double> predict(const GarliFeatures& features) const;
 
   /// Record a completed job's observed reference runtime (§VI.E). Triggers
@@ -75,6 +78,9 @@ class RuntimeEstimator {
   rf::RandomForest forest_;
   std::optional<rf::Dataset> dataset_;
   std::size_t observations_since_train_ = 0;
+  /// One-entry prediction memo; rebuild() clears it with the forest.
+  mutable std::vector<double> memo_features_;
+  mutable double memo_prediction_ = 0.0;
 };
 
 }  // namespace lattice::core

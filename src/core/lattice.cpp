@@ -233,8 +233,8 @@ std::uint64_t LatticeSystem::submit_job_with_runtime(
   }
   const std::uint64_t id = job->id;
   job_features_[id] = features;
+  pending_.push_back(job.get());
   jobs_[id] = std::move(job);
-  pending_.push_back(id);
   ++metrics_.submitted;
   ++outstanding_;
   obs_jobs_submitted_->inc();
@@ -254,6 +254,9 @@ bool LatticeSystem::cancel_job(std::uint64_t id) {
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return false;
   grid::GridJob& job = *it->second;
+  // A cancel inside a pump pass (from a terminal hook) can free queue
+  // room, so the pass's saturation memo no longer holds.
+  saturated_.clear();
   switch (job.state) {
     case grid::JobState::kCompleted:
     case grid::JobState::kFailed:
@@ -261,7 +264,7 @@ bool LatticeSystem::cancel_job(std::uint64_t id) {
       return false;
     case grid::JobState::kPending: {
       const auto pending_it =
-          std::find(pending_.begin(), pending_.end(), id);
+          std::find(pending_.begin(), pending_.end(), &job);
       if (pending_it != pending_.end()) pending_.erase(pending_it);
       job.state = grid::JobState::kCancelled;
       --outstanding_;
@@ -301,47 +304,58 @@ void LatticeSystem::pump() {
   if (config_.fair_share.order_queue && pending_.size() > 1) {
     // Fair-share ordering: light users' jobs drain ahead of a heavy
     // user's backlog. Runs once per scheduler period over the grid-level
-    // queue — queue maintenance, not a per-placement decision — and keys
-    // on (decayed usage, job id), a pure function of the charge history
-    // and the sim clock, so twin runs reorder identically.
+    // queue — queue maintenance, not a per-placement decision. Each job's
+    // decayed usage is read once into a key; (usage, job id) is a total
+    // order because ids are unique, and a pure function of the charge
+    // history and the sim clock, so twin runs reorder identically.
+    queue_keys_.clear();
+    for (grid::GridJob* job : pending_) {
+      queue_keys_.push_back(
+          {fair_share_ledger_.usage(job->user_id), job->id, job});
+    }
     // lattice-lint: allow(decision-sort) — once-per-period pending-queue maintenance keyed on (decayed usage, job id); no placement decision ranks with it
-    std::stable_sort(pending_.begin(), pending_.end(),
-                     [this](std::uint64_t a, std::uint64_t b) {
-                       const double usage_a = fair_share_ledger_.usage(
-                           jobs_.at(a)->user_id);
-                       const double usage_b = fair_share_ledger_.usage(
-                           jobs_.at(b)->user_id);
-                       if (usage_a != usage_b) return usage_a < usage_b;
-                       return a < b;
-                     });
+    std::sort(queue_keys_.begin(), queue_keys_.end(),
+              [](const QueueKey& a, const QueueKey& b) {
+                if (a.usage != b.usage) return a.usage < b.usage;
+                return a.id < b.id;
+              });
+    std::transform(queue_keys_.begin(), queue_keys_.end(), pending_.begin(),
+                   [](const QueueKey& key) { return key.job; });
     obs_fair_share_reorders_->inc();
   }
+  saturated_.clear();
   std::size_t deferred = 0;
   const std::size_t to_place = pending_.size();
-  for (std::size_t i = 0; i < to_place; ++i) {
-    const std::uint64_t id = pending_.front();
+  for (std::size_t i = 0; i < to_place && !pending_.empty(); ++i) {
+    grid::GridJob* job = pending_.front();
     pending_.pop_front();
-    grid::GridJob& job = *jobs_.at(id);
-    const auto choice = scheduler_.choose(job);
+    const auto choice = scheduler_.choose(*job);
     if (!choice) {
-      pending_.push_back(id);
+      pending_.push_back(job);
       ++deferred;
       continue;
     }
     if (config_.fair_share.backlog_per_slot > 0.0) {
       // Backpressure: past the per-slot backlog cap the job stays in the
       // grid-level queue (where fair-share ordering applies) instead of
-      // sinking into the resource's own FIFO queue.
-      const grid::ResourceInfo info = resources_.at(*choice)->info();
-      if (static_cast<double>(info.queued_jobs) >=
-          config_.fair_share.backlog_per_slot *
-              static_cast<double>(info.total_slots)) {
-        pending_.push_back(id);
+      // sinking into the resource's own FIFO queue. A resource found
+      // saturated stays so for the rest of the pass (see saturated_).
+      bool saturated = std::find(saturated_.begin(), saturated_.end(),
+                                 *choice) != saturated_.end();
+      if (!saturated) {
+        const grid::ResourceInfo info = resources_.at(*choice)->info();
+        saturated = static_cast<double>(info.queued_jobs) >=
+                    config_.fair_share.backlog_per_slot *
+                        static_cast<double>(info.total_slots);
+        if (saturated) saturated_.push_back(*choice);
+      }
+      if (saturated) {
+        pending_.push_back(job);
         ++deferred;
         continue;
       }
     }
-    dispatch(job, *choice);
+    dispatch(*job, *choice);
   }
   if (deferred > 0) {
     util::log_debug("lattice", "{} jobs deferred (no eligible resource)",
@@ -392,6 +406,9 @@ void LatticeSystem::dispatch(grid::GridJob& job,
 
 void LatticeSystem::on_outcome(grid::GridJob& job,
                                const grid::JobOutcome& outcome) {
+  // Runs inside a pump pass when a dispatch bounces synchronously; the
+  // resource state behind the pass's saturation memo may have moved.
+  saturated_.clear();
   if (outcome.completed()) {
     metrics_.useful_cpu_seconds += outcome.cpu_seconds;
     ++metrics_.completed;
@@ -480,18 +497,14 @@ void LatticeSystem::on_outcome(grid::GridJob& job,
         retry_backoff_seconds(config_.retry, job.attempts, rng_.uniform());
     obs_retry_scheduled_->inc();
     obs_retry_backoff_->observe(delay);
-    const std::uint64_t id = job.id;
-    sim_.after(delay, [this, id] {
-      const auto it = jobs_.find(id);
+    grid::GridJob* waiting = &job;
+    sim_.after(delay, [this, waiting] {
       // The job may have been cancelled while waiting out the backoff.
-      if (it == jobs_.end() ||
-          it->second->state != grid::JobState::kPending) {
-        return;
-      }
-      pending_.push_back(id);
+      if (waiting->state != grid::JobState::kPending) return;
+      pending_.push_back(waiting);
     });
   } else {
-    pending_.push_back(job.id);
+    pending_.push_back(&job);
   }
 }
 

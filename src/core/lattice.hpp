@@ -222,7 +222,22 @@ class LatticeSystem : public InventoryHost {
 
   std::map<std::uint64_t, std::unique_ptr<grid::GridJob>> jobs_;
   std::map<std::uint64_t, GarliFeatures> job_features_;
-  std::deque<std::uint64_t> pending_;
+  /// Grid-level queue. The pointers are stable: jobs_ owns every job
+  /// through a unique_ptr and never erases one.
+  std::deque<grid::GridJob*> pending_;
+  /// Fair-share sort keys, (decayed usage, job id) per pending job; a
+  /// member so the pump reuses its capacity instead of allocating per pass.
+  struct QueueKey {
+    double usage;
+    std::uint64_t id;
+    grid::GridJob* job;
+  };
+  std::vector<QueueKey> queue_keys_;
+  /// Resources found at or over the backpressure cap during the current
+  /// pump pass. No event fires inside a pass, so a saturated resource
+  /// stays saturated until the pass ends — unless on_outcome or cancel_job
+  /// runs synchronously inside it, and both clear this.
+  std::vector<std::string> saturated_;
   std::uint64_t next_job_id_ = 1;
   std::uint64_t outstanding_ = 0;  // submitted minus terminal
 

@@ -202,6 +202,98 @@ TEST(Estimator, UntrainedReturnsNullopt) {
   EXPECT_DOUBLE_EQ(estimator.variance_explained(), 0.0);
 }
 
+// predict() remembers its last input; every answer must still be the one a
+// freshly trained estimator gives for the same corpus and input.
+RuntimeEstimator::Config memo_test_config() {
+  RuntimeEstimator::Config config;
+  config.forest.n_trees = 30;
+  config.retrain_every = 0;
+  return config;
+}
+
+double fresh_prediction(const std::vector<TrainingExample>& corpus,
+                        const GarliFeatures& features,
+                        RuntimeEstimator::Config config = memo_test_config()) {
+  RuntimeEstimator fresh(config);
+  fresh.train(corpus);
+  return *fresh.predict(features);
+}
+
+TEST(Estimator, PredictMemoMatchesFreshEstimatorBitForBit) {
+  GarliCostModel model;
+  util::Rng rng(61);
+  const auto corpus = generate_corpus(60, model, rng);
+  const GarliFeatures a = random_features(rng);
+  const GarliFeatures b = random_features(rng);
+  RuntimeEstimator estimator(memo_test_config());
+  estimator.train(corpus);
+  for (const GarliFeatures* f : {&a, &a, &b, &a, &b, &b}) {
+    EXPECT_EQ(*estimator.predict(*f), fresh_prediction(corpus, *f));
+  }
+}
+
+TEST(Estimator, PredictMemoIsClearedByTrain) {
+  GarliCostModel model;
+  util::Rng rng(62);
+  const auto first = generate_corpus(60, model, rng);
+  const auto second = generate_corpus(60, model, rng);
+  const GarliFeatures f = random_features(rng);
+  RuntimeEstimator estimator(memo_test_config());
+  estimator.train(first);
+  const double before = *estimator.predict(f);
+  estimator.train(second);
+  const double after = *estimator.predict(f);
+  EXPECT_NE(before, after);  // a stale memo would repeat `before`
+  EXPECT_EQ(after, fresh_prediction(second, f));
+}
+
+TEST(Estimator, PredictMemoIsClearedByObserveRetrain) {
+  GarliCostModel model;
+  util::Rng rng(63);
+  auto corpus = generate_corpus(60, model, rng);
+  const GarliFeatures f = random_features(rng);
+  RuntimeEstimator::Config config = memo_test_config();
+  config.retrain_every = 1;
+  RuntimeEstimator estimator(config);
+  estimator.train(corpus);
+  const double before = *estimator.predict(f);
+  const GarliFeatures g = random_features(rng);
+  const double runtime = model.sample_runtime(g, rng);
+  estimator.observe(g, runtime);
+  corpus.push_back(TrainingExample{g, runtime});
+  const double after = *estimator.predict(f);
+  EXPECT_NE(before, after);
+  EXPECT_EQ(after, fresh_prediction(corpus, f, config));
+}
+
+TEST(Estimator, PredictMemoDoesNotSurviveAssignment) {
+  GarliCostModel model;
+  util::Rng rng(64);
+  const auto first = generate_corpus(60, model, rng);
+  const auto second = generate_corpus(60, model, rng);
+  const GarliFeatures f = random_features(rng);
+  LatticeSystem system;
+  system.estimator() = RuntimeEstimator(memo_test_config());
+  system.estimator().train(first);
+  const auto estimate_of = [&system, &f] {
+    return system.job(system.submit_job_with_runtime(f, 600.0))
+        ->estimated_reference_runtime;
+  };
+  ASSERT_TRUE(estimate_of().has_value());
+
+  // An untrained estimator assigned over a trained one predicts nothing.
+  system.estimator() = RuntimeEstimator(memo_test_config());
+  EXPECT_FALSE(estimate_of().has_value());
+
+  // A trained one assigned over it answers from its own forest.
+  RuntimeEstimator other(memo_test_config());
+  other.train(second);
+  system.estimator().train(first);
+  ASSERT_EQ(*estimate_of(), fresh_prediction(first, f));
+  system.estimator() = other;
+  EXPECT_EQ(*estimate_of(), fresh_prediction(second, f));
+}
+
 TEST(Estimator, OnlineObservationsTriggerRetrain) {
   GarliCostModel model;
   util::Rng rng(5);

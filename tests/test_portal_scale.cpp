@@ -1,10 +1,16 @@
 // Multi-tenant portal at scale: admission quotas, guest load shedding,
 // fair-share queue ordering, the user-population workload generator, the
 // per-user trace columns, and twin-run determinism of a 10^4-user portal
-// workload (DESIGN.md §15).
+// workload, plus the pump-pass invariants behind the keyed fair-share sort
+// and the backpressure saturation memo (DESIGN.md §15).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "core/cost_model.hpp"
 #include "core/lattice.hpp"
@@ -193,6 +199,255 @@ TEST(FairShare, LateLightUserOvertakesFloodWhenOrderingIsOn) {
   EXPECT_LT(fair, fifo * 0.5)
       << "fair-share ordering should cut the late batch's turnaround "
       << "(fifo " << fifo / 3600.0 << " h, fair " << fair / 3600.0 << " h)";
+}
+
+TEST(FairShare, KeyedQueueOrderMatchesStableSortOracle) {
+  // The pump reads each pending job's decayed usage once and sorts plain
+  // (usage, id) keys. The oracle is the comparator that order replaced: a
+  // std::stable_sort over the queue that re-reads the ledger on every
+  // comparison. A one-slot FIFO cluster with no backpressure takes the
+  // whole queue on the first pass, so start times spell out the pump's
+  // order.
+  util::Rng rng(53);
+  for (int trial = 0; trial < 40; ++trial) {
+    LatticeConfig config;
+    config.scheduler_period = 60.0;
+    config.seed = 100 + static_cast<std::uint64_t>(trial);
+    config.fair_share.order_queue = true;
+    config.fair_share.half_life_seconds = trial % 2 == 0 ? 3600.0 : 0.0;
+    LatticeSystem system(config);
+    grid::BatchQueueResource::Config lone;
+    lone.nodes = 1;
+    lone.cores_per_node = 1;
+    system.add_cluster("lone", lone);
+    system.calibrate_speeds();
+
+    // Charged users 1-8 draw from four amounts, so distinct users tie;
+    // users 0 (never charged) and 1000-1003 (never seen) all read 0.
+    const double amounts[] = {500.0, 500.0, 1200.0, 7200.0};
+    for (UserId user = 1; user <= 8; ++user) {
+      system.fair_share().charge(user, amounts[rng.below(4)]);
+    }
+    const std::size_t n = 2 + rng.below(60);
+    std::vector<std::uint64_t> queue;
+    std::map<std::uint64_t, UserId> user_of;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t pick = rng.below(13);
+      const UserId user = pick < 9 ? pick : 1000 + (pick - 9);
+      const std::uint64_t id =
+          system.submit_job_with_runtime(GarliFeatures{}, 100.0, {}, 0, {},
+                                         user);
+      queue.push_back(id);
+      user_of[id] = user;
+    }
+
+    // The pump settles the ledger to its first firing before it sorts.
+    system.fair_share().settle(config.scheduler_period);
+    const FairShareLedger& ledger = system.fair_share();
+    std::stable_sort(queue.begin(), queue.end(),
+                     [&](std::uint64_t a, std::uint64_t b) {
+                       const double usage_a = ledger.usage(user_of.at(a));
+                       const double usage_b = ledger.usage(user_of.at(b));
+                       if (usage_a != usage_b) return usage_a < usage_b;
+                       return a < b;
+                     });
+
+    system.run_until_drained(86400.0 * 30.0);
+    std::vector<std::uint64_t> started(queue);
+    std::sort(started.begin(), started.end(),
+              [&system](std::uint64_t a, std::uint64_t b) {
+                return system.job(a)->start_time < system.job(b)->start_time;
+              });
+    ASSERT_EQ(system.metrics().completed, n) << "trial " << trial;
+    EXPECT_EQ(started, queue) << "trial " << trial << ", " << n << " jobs";
+  }
+}
+
+TEST(FairShare, SaturationMemoIsDroppedWhenAHookCancelsMidPass) {
+  // One pump pass: "busy" fills to its one-job-per-slot cap, a job routed
+  // to "down" (in outage) bounces and, with max_attempts = 0, is abandoned
+  // on the spot; the terminal hook then cancels the job queued on "busy".
+  // The next job routed to "busy" must see the freed room, as it would if
+  // the pass had re-read the resource instead of remembering it full.
+  LatticeConfig config;
+  config.scheduler_period = 60.0;
+  config.fair_share.backlog_per_slot = 1.0;
+  config.max_attempts = 0;
+  LatticeSystem system(config);
+  grid::BatchQueueResource::Config busy;
+  busy.nodes = 1;
+  busy.cores_per_node = 1;
+  busy.software = {"x"};
+  system.add_cluster("busy", busy);
+  grid::BatchQueueResource::Config down = busy;
+  down.software = {"y"};
+  system.add_cluster("down", down);
+  system.calibrate_speeds();
+  system.resource("down")->set_outage(true);
+
+  grid::JobRequirements on_busy;
+  on_busy.software = {"x"};
+  grid::JobRequirements on_down;
+  on_down.software = {"y"};
+  const auto submit = [&system](const grid::JobRequirements& where) {
+    return system.submit_job_with_runtime(GarliFeatures{}, 1000.0, where);
+  };
+  const std::uint64_t running = submit(on_busy);
+  const std::uint64_t queued = submit(on_busy);
+  const std::uint64_t deferred = submit(on_busy);
+  const std::uint64_t bounced = submit(on_down);
+  const std::uint64_t after_cancel = submit(on_busy);
+  system.set_job_terminal_hook(
+      [&system, bounced, queued](const grid::GridJob& job, bool) {
+        if (job.id == bounced) system.cancel_job(queued);
+      });
+
+  system.run(config.scheduler_period + 1.0);
+  EXPECT_EQ(system.job(running)->state, grid::JobState::kRunning);
+  EXPECT_EQ(system.job(queued)->state, grid::JobState::kCancelled);
+  EXPECT_EQ(system.job(deferred)->state, grid::JobState::kPending);
+  EXPECT_EQ(system.job(bounced)->state, grid::JobState::kFailed);
+  EXPECT_EQ(system.job(after_cancel)->state, grid::JobState::kQueued);
+  EXPECT_EQ(system.job(after_cancel)->resource, "busy");
+}
+
+TEST(Pump, HookThatEmptiesThePendingQueueEndsThePass) {
+  // The pass sizes itself from the queue length at its start. Here the
+  // first job bounces off a cluster in outage, is abandoned (max_attempts
+  // 0), and its terminal hook cancels the only other pending job: the
+  // pass must stop on the empty queue instead of reading past it.
+  LatticeConfig config;
+  config.scheduler_period = 60.0;
+  config.max_attempts = 0;
+  LatticeSystem system(config);
+  system.add_cluster("down", grid::BatchQueueResource::Config{});
+  system.calibrate_speeds();
+  system.resource("down")->set_outage(true);
+  const std::uint64_t bounced =
+      system.submit_job_with_runtime(GarliFeatures{}, 1000.0);
+  const std::uint64_t sibling =
+      system.submit_job_with_runtime(GarliFeatures{}, 1000.0);
+  system.set_job_terminal_hook(
+      [&system, bounced, sibling](const grid::GridJob& job, bool) {
+        if (job.id == bounced) system.cancel_job(sibling);
+      });
+  system.run(config.scheduler_period + 1.0);
+  EXPECT_EQ(system.job(bounced)->state, grid::JobState::kFailed);
+  EXPECT_EQ(system.job(sibling)->state, grid::JobState::kCancelled);
+  EXPECT_EQ(system.pending_jobs(), 0u);
+}
+
+// What one pump-identity run leaves behind: the event count, the terminal
+// tallies, and an FNV-1a digest of every job's (resource, start, finish).
+struct PumpGolden {
+  std::uint64_t events_fired = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t digest = 0;
+};
+
+PumpGolden run_pump_identity_scenario() {
+  LatticeConfig config;
+  config.scheduler.mode = SchedulingMode::kEstimateAware;
+  config.scheduler.fair_share_weight = 0.5;
+  config.scheduler_period = 60.0;
+  config.seed = 23;
+  config.fair_share.order_queue = true;
+  config.fair_share.backlog_per_slot = 1.0;
+  config.fair_share.half_life_seconds = 2.0 * 3600.0;
+  config.retry.backoff_base_seconds = 30.0;
+  config.retry.backoff_cap_seconds = 600.0;
+  LatticeSystem system(config);
+
+  grid::BatchQueueResource::Config hpc;
+  hpc.nodes = 4;
+  hpc.cores_per_node = 2;
+  system.add_cluster("hpc", hpc);
+  grid::BatchQueueResource::Config mpp;
+  mpp.nodes = 2;
+  mpp.cores_per_node = 4;
+  mpp.node_speed = 1.5;
+  system.add_cluster("mpp", mpp);
+  grid::CondorPool::Config condor;
+  condor.machines = 12;
+  system.add_condor_pool("condor", condor);
+  system.calibrate_speeds();
+
+  GarliCostModel model;
+  util::Rng corpus_rng(31);
+  RuntimeEstimator::Config estimator_config;
+  estimator_config.forest.n_trees = 40;
+  estimator_config.retrain_every = 0;
+  system.estimator() = RuntimeEstimator(estimator_config);
+  system.estimator().train(generate_corpus(60, model, corpus_rng));
+
+  // "mpp" goes down for three hours: the scheduler does not know, so every
+  // dispatch there bounces synchronously inside the pump pass and comes
+  // back through the retry backoff.
+  system.simulation().at(1800.0, [&system] {
+    system.resource("mpp")->set_outage(true);
+  });
+  system.simulation().at(4.0 * 3600.0, [&system] {
+    system.resource("mpp")->set_outage(false);
+  });
+  // A completion of every seventh job cancels its successor, wherever
+  // that sibling is (pending, backing off, queued or running).
+  std::uint64_t cancelled = 0;
+  system.set_job_terminal_hook(
+      [&system, &cancelled](const grid::GridJob& job, bool completed) {
+        if (!completed) return;
+        if (job.id % 7 == 0 && system.cancel_job(job.id + 1)) ++cancelled;
+      });
+
+  // Four waves of 30 jobs from users 0-4 (user 0 is never charged); user
+  // 9 first appears in the last wave. Features repeat within a wave.
+  for (int wave = 0; wave < 6; ++wave) {
+    system.simulation().at(wave * 1200.0, [&system, wave] {
+      for (int i = 0; i < 40; ++i) {
+        GarliFeatures features;
+        features.num_taxa = 60.0 + 20.0 * (i % 3);
+        features.num_patterns = 400.0 + 200.0 * (i % 4);
+        features.genthresh = 400.0;
+        const UserId user =
+            (wave == 5 && i % 6 == 0) ? 9 : static_cast<UserId>(i % 5);
+        system.submit_garli_job(features, {}, 0, {}, user);
+      }
+    });
+  }
+  system.run(1.0);
+  system.run_until_drained(30.0 * 86400.0);
+
+  PumpGolden golden;
+  golden.events_fired = system.simulation().events_fired();
+  golden.completed = system.metrics().completed;
+  golden.cancelled = cancelled;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  system.for_each_job([&mix](const grid::GridJob& job) {
+    mix(job.id);
+    for (const char c : job.resource) mix(static_cast<unsigned char>(c));
+    mix(std::bit_cast<std::uint64_t>(job.start_time));
+    mix(std::bit_cast<std::uint64_t>(job.finish_time));
+    mix(static_cast<std::uint64_t>(job.state));
+  });
+  golden.digest = hash;
+  return golden;
+}
+
+TEST(FairShare, PumpIdentityGoldenUnderOutageBounceAndHookCancel) {
+  // Recorded from the pump that ordered its queue with a std::stable_sort
+  // over job ids and re-read the ledger per comparison; the keyed sort,
+  // the pointer queue and the saturation memo must reproduce it exactly.
+  const PumpGolden golden = run_pump_identity_scenario();
+  EXPECT_EQ(golden.events_fired, 37592u);
+  EXPECT_EQ(golden.completed, 224u);
+  EXPECT_EQ(golden.cancelled, 16u);
+  EXPECT_EQ(golden.digest, 0x53779eee13e3872eULL);
 }
 
 TEST(UserPopulation, PartitionsIdsAndRespectsReplicateCap) {
