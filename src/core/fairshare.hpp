@@ -8,14 +8,21 @@
 // evaluated against an explicit clock advanced by settle(), never against
 // wall time. Because decay is a monotone per-entry transform, the relative
 // order of two users' odometers can only change at charge points — so a
-// pump pass that sorts by (usage, job id) is a pure function of the charge
+// pump pass that orders by (usage, job id) is a pure function of the charge
 // history and the sim clock (DESIGN.md §15).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <map>
+#include <vector>
 
 #include "core/user.hpp"
+
+namespace lattice::grid {
+struct GridJob;
+}  // namespace lattice::grid
 
 namespace lattice::core {
 
@@ -81,6 +88,36 @@ class FairShareLedger {
   FairShareConfig config_;
   double now_ = 0.0;
   std::map<UserId, Entry> entries_;
+};
+
+/// Orders the grid-level pending queue by (decayed usage, job id) — the
+/// fair-share drain order (FairShareConfig.order_queue). Ids are unique, so
+/// the key is a total order and the result equals a stable sort that reads
+/// the ledger on every comparison. The queue left by the previous pass is
+/// still in order apart from re-ranked users, retries and new arrivals, so
+/// apply() merges the queue's ascending runs instead of sorting it.
+class FairShareQueueOrder {
+ public:
+  /// Reorder `queue` by (ledger.usage(job->user_id), job->id). Reads the
+  /// ledger once per run of consecutive same-user jobs, then merges the
+  /// ascending runs of keys bottom-up through reused buffers: O(n log
+  /// runs) comparisons and no allocation once the buffers have grown.
+  /// Returns the number of ascending runs found; a queue of one run is
+  /// already in order and is left untouched.
+  std::size_t apply(std::deque<grid::GridJob*>& queue,
+                    const FairShareLedger& ledger);
+
+ private:
+  struct Key {
+    double usage;
+    std::uint64_t id;
+    grid::GridJob* job;
+  };
+
+  std::vector<Key> keys_;
+  std::vector<Key> merged_;
+  /// Start offset of each ascending run of keys_, then keys_.size().
+  std::vector<std::size_t> runs_;
 };
 
 }  // namespace lattice::core

@@ -101,6 +101,10 @@ void LatticeSystem::bind_observability() {
   obs_fair_share_charges_ = &m.counter(
       "sched.fair_share_charges", "dispatches",
       "usage charges applied to a user's fair-share odometer at dispatch");
+  obs_deferred_repeats_ = &m.counter(
+      "sched.deferred_repeats", "jobs",
+      "pending jobs deferred without a choose() call because the pass's "
+      "previous deferral had identical scheduling inputs");
   obs_retry_backoff_ = &m.histogram(
       "sched.retry_backoff_s",
       {1.0, 10.0, 60.0, 600.0, 3600.0, 6.0 * 3600.0}, "s",
@@ -255,8 +259,9 @@ bool LatticeSystem::cancel_job(std::uint64_t id) {
   if (it == jobs_.end()) return false;
   grid::GridJob& job = *it->second;
   // A cancel inside a pump pass (from a terminal hook) can free queue
-  // room, so the pass's saturation memo no longer holds.
+  // room, so the pass's saturation and deferral memos no longer hold.
   saturated_.clear();
+  last_deferred_ = nullptr;
   switch (job.state) {
     case grid::JobState::kCompleted:
     case grid::JobState::kFailed:
@@ -304,35 +309,35 @@ void LatticeSystem::pump() {
   if (config_.fair_share.order_queue && pending_.size() > 1) {
     // Fair-share ordering: light users' jobs drain ahead of a heavy
     // user's backlog. Runs once per scheduler period over the grid-level
-    // queue — queue maintenance, not a per-placement decision. Each job's
-    // decayed usage is read once into a key; (usage, job id) is a total
-    // order because ids are unique, and a pure function of the charge
-    // history and the sim clock, so twin runs reorder identically.
-    queue_keys_.clear();
-    for (grid::GridJob* job : pending_) {
-      queue_keys_.push_back(
-          {fair_share_ledger_.usage(job->user_id), job->id, job});
-    }
-    // lattice-lint: allow(decision-sort) — once-per-period pending-queue maintenance keyed on (decayed usage, job id); no placement decision ranks with it
-    std::sort(queue_keys_.begin(), queue_keys_.end(),
-              [](const QueueKey& a, const QueueKey& b) {
-                if (a.usage != b.usage) return a.usage < b.usage;
-                return a.id < b.id;
-              });
-    std::transform(queue_keys_.begin(), queue_keys_.end(), pending_.begin(),
-                   [](const QueueKey& key) { return key.job; });
+    // queue — queue maintenance, not a per-placement decision. The
+    // (usage, job id) key is a pure function of the charge history and
+    // the sim clock, so twin runs reorder identically.
+    queue_order_.apply(pending_, fair_share_ledger_);
     obs_fair_share_reorders_->inc();
   }
   saturated_.clear();
+  last_deferred_ = nullptr;
   std::size_t deferred = 0;
+  const auto defer = [this, &deferred](grid::GridJob* job) {
+    pending_.push_back(job);
+    last_deferred_ = job;
+    ++deferred;
+  };
   const std::size_t to_place = pending_.size();
   for (std::size_t i = 0; i < to_place && !pending_.empty(); ++i) {
     grid::GridJob* job = pending_.front();
     pending_.pop_front();
+    // Nothing choose() or the backlog check reads has moved since the last
+    // deferral (see last_deferred_), so an identical job is deferred too.
+    if (last_deferred_ != nullptr &&
+        scheduler_.same_inputs(*last_deferred_, *job)) {
+      defer(job);
+      obs_deferred_repeats_->inc();
+      continue;
+    }
     const auto choice = scheduler_.choose(*job);
     if (!choice) {
-      pending_.push_back(job);
-      ++deferred;
+      defer(job);
       continue;
     }
     if (config_.fair_share.backlog_per_slot > 0.0) {
@@ -350,11 +355,13 @@ void LatticeSystem::pump() {
         if (saturated) saturated_.push_back(*choice);
       }
       if (saturated) {
-        pending_.push_back(job);
-        ++deferred;
+        defer(job);
         continue;
       }
     }
+    // A dispatch reports to the directory and charges the user's
+    // odometer, both of which choose() reads.
+    last_deferred_ = nullptr;
     dispatch(*job, *choice);
   }
   if (deferred > 0) {
@@ -407,8 +414,10 @@ void LatticeSystem::dispatch(grid::GridJob& job,
 void LatticeSystem::on_outcome(grid::GridJob& job,
                                const grid::JobOutcome& outcome) {
   // Runs inside a pump pass when a dispatch bounces synchronously; the
-  // resource state behind the pass's saturation memo may have moved.
+  // resource state behind the pass's saturation and deferral memos may
+  // have moved.
   saturated_.clear();
+  last_deferred_ = nullptr;
   if (outcome.completed()) {
     metrics_.useful_cpu_seconds += outcome.cpu_seconds;
     ++metrics_.completed;

@@ -225,19 +225,20 @@ class LatticeSystem : public InventoryHost {
   /// Grid-level queue. The pointers are stable: jobs_ owns every job
   /// through a unique_ptr and never erases one.
   std::deque<grid::GridJob*> pending_;
-  /// Fair-share sort keys, (decayed usage, job id) per pending job; a
-  /// member so the pump reuses its capacity instead of allocating per pass.
-  struct QueueKey {
-    double usage;
-    std::uint64_t id;
-    grid::GridJob* job;
-  };
-  std::vector<QueueKey> queue_keys_;
+  /// The fair-share reorder's reused buffers (FairShareConfig.order_queue).
+  FairShareQueueOrder queue_order_;
   /// Resources found at or over the backpressure cap during the current
   /// pump pass. No event fires inside a pass, so a saturated resource
   /// stays saturated until the pass ends — unless on_outcome or cancel_job
   /// runs synchronously inside it, and both clear this.
   std::vector<std::string> saturated_;
+  /// The job the current pass deferred last, or nullptr. A later job with
+  /// the same scheduling inputs (MetaScheduler::same_inputs) would get the
+  /// same answer from choose() and be deferred too, so it is deferred
+  /// without the call. Valid only while nothing choose() or the backlog
+  /// check reads has moved: reset at the start of each pass, on every
+  /// dispatch, and wherever saturated_ is cleared.
+  const grid::GridJob* last_deferred_ = nullptr;
   std::uint64_t next_job_id_ = 1;
   std::uint64_t outstanding_ = 0;  // submitted minus terminal
 
@@ -256,6 +257,7 @@ class LatticeSystem : public InventoryHost {
   obs::Counter* obs_demotions_ = nullptr;
   obs::Counter* obs_fair_share_reorders_ = nullptr;
   obs::Counter* obs_fair_share_charges_ = nullptr;
+  obs::Counter* obs_deferred_repeats_ = nullptr;
   obs::Histogram* obs_retry_backoff_ = nullptr;
   obs::Histogram* obs_sched_queue_wait_ = nullptr;
   obs::Histogram* obs_predictor_error_ = nullptr;

@@ -141,6 +141,30 @@ std::optional<std::string> MetaScheduler::choose_linear(
   return pick(job, eligible_scratch_);
 }
 
+bool MetaScheduler::same_inputs(const grid::GridJob& a,
+                                const grid::GridJob& b) const {
+  // Keep in step with choose() and rank_estimate(): a field they read but
+  // this does not compare would let the pump skip a decision that differs
+  // (tests/test_sched_index.cpp checks the implication).
+  switch (policy_.mode) {
+    case SchedulingMode::kRoundRobin:
+      return false;
+    case SchedulingMode::kOracle:
+      if (a.true_reference_runtime != b.true_reference_runtime) return false;
+      break;
+    case SchedulingMode::kEstimateAware:
+      if (a.estimated_reference_runtime != b.estimated_reference_runtime) {
+        return false;
+      }
+      break;
+    case SchedulingMode::kLoadOnly:
+      break;
+  }
+  return a.user_id == b.user_id && a.require_stable == b.require_stable &&
+         a.input_mb + a.output_mb == b.input_mb + b.output_mb &&
+         a.requirements == b.requirements;
+}
+
 std::optional<std::string> MetaScheduler::pick(
     const grid::GridJob& job,
     const std::vector<const grid::MdsEntry*>& all_eligible) {

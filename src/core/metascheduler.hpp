@@ -101,6 +101,15 @@ class MetaScheduler {
   /// calls on one.
   std::optional<std::string> choose_linear(const grid::GridJob& job);
 
+  /// True when choose(a) and choose(b) return the same answer against an
+  /// unchanged directory and ledger: the jobs agree on every field choose()
+  /// reads — the mode's estimate field, user_id (fair-share inflation),
+  /// require_stable, input_mb + output_mb (staging term) and the
+  /// requirements. Always false in round-robin mode, whose cursor advances
+  /// on every call. The pump uses it to defer a run of identical jobs on
+  /// one decision (DESIGN.md §15).
+  bool same_inputs(const grid::GridJob& a, const grid::GridJob& b) const;
+
   const SchedulerPolicy& policy() const { return policy_; }
   void set_policy(const SchedulerPolicy& policy) { policy_ = policy; }
 

@@ -35,6 +35,8 @@ struct JobRequirements {
   bool needs_mpi = false;
   /// Software dependencies that must be present on the resource ("java").
   std::vector<std::string> software;
+
+  bool operator==(const JobRequirements&) const = default;
 };
 
 enum class JobState : std::uint8_t {

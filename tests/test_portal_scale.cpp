@@ -1,13 +1,14 @@
 // Multi-tenant portal at scale: admission quotas, guest load shedding,
 // fair-share queue ordering, the user-population workload generator, the
 // per-user trace columns, and twin-run determinism of a 10^4-user portal
-// workload, plus the pump-pass invariants behind the keyed fair-share sort
-// and the backpressure saturation memo (DESIGN.md §15).
+// workload, plus the pump-pass invariants behind the fair-share run merge
+// and the saturation and deferral memos (DESIGN.md §15).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -202,10 +203,10 @@ TEST(FairShare, LateLightUserOvertakesFloodWhenOrderingIsOn) {
 }
 
 TEST(FairShare, KeyedQueueOrderMatchesStableSortOracle) {
-  // The pump reads each pending job's decayed usage once and sorts plain
-  // (usage, id) keys. The oracle is the comparator that order replaced: a
-  // std::stable_sort over the queue that re-reads the ledger on every
-  // comparison. A one-slot FIFO cluster with no backpressure takes the
+  // The pump reads the decayed usage once per run of same-user jobs and
+  // merges the ascending runs of (usage, id) keys. The oracle is the
+  // comparator that order replaced: a std::stable_sort over the queue
+  // that re-reads the ledger on every comparison. A one-slot FIFO cluster with no backpressure takes the
   // whole queue on the first pass, so start times spell out the pump's
   // order.
   util::Rng rng(53);
@@ -261,6 +262,99 @@ TEST(FairShare, KeyedQueueOrderMatchesStableSortOracle) {
     ASSERT_EQ(system.metrics().completed, n) << "trial " << trial;
     EXPECT_EQ(started, queue) << "trial " << trial << ", " << n << " jobs";
   }
+
+  // Queues shaped like the ones later passes see: the previous pass's
+  // order (runs of same-user batches), re-ranked by new charges, with
+  // retries re-entering mid-run and new arrivals behind. The same
+  // comparator is the oracle; FairShareQueueOrder reorders the queue.
+  FairShareQueueOrder order;
+  int merged_three_or_more_runs = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    FairShareLedger ledger{FairShareConfig{}};
+    const double amounts[] = {500.0, 500.0, 1200.0, 7200.0};
+    for (UserId user = 1; user <= 8; ++user) {
+      ledger.charge(user, amounts[rng.below(4)]);
+    }
+    std::deque<grid::GridJob> jobs;  // stable addresses, ids in creation order
+    const auto add_batch = [&](std::deque<grid::GridJob*>& to) {
+      const std::uint64_t pick = rng.below(13);
+      const UserId user = pick < 9 ? pick : 1000 + (pick - 9);
+      const std::size_t size = 1 + rng.below(8);
+      for (std::size_t i = 0; i < size; ++i) {
+        grid::GridJob& job = jobs.emplace_back();
+        job.id = jobs.size();
+        job.user_id = user;
+        to.push_back(&job);
+      }
+    };
+    const auto oracle = [&ledger](std::deque<grid::GridJob*> queue) {
+      std::stable_sort(queue.begin(), queue.end(),
+                       [&](const grid::GridJob* a, const grid::GridJob* b) {
+                         const double usage_a = ledger.usage(a->user_id);
+                         const double usage_b = ledger.usage(b->user_id);
+                         if (usage_a != usage_b) return usage_a < usage_b;
+                         return a->id < b->id;
+                       });
+      return queue;
+    };
+
+    // The last pass's drain order, then charges that re-rank some users.
+    std::deque<grid::GridJob*> queue;
+    const std::size_t batches = 1 + rng.below(12);
+    for (std::size_t b = 0; b < batches; ++b) add_batch(queue);
+    queue = oracle(queue);
+    for (int charge = 0, charges = static_cast<int>(rng.below(4));
+         charge < charges; ++charge) {
+      ledger.charge(1 + rng.below(8), amounts[rng.below(4)]);
+    }
+    // Retries: jobs leave the queue and come back behind younger ids.
+    for (int retry = 0, retries = static_cast<int>(rng.below(4));
+         retry < retries && !queue.empty(); ++retry) {
+      const auto from = queue.begin() +
+                        static_cast<std::ptrdiff_t>(rng.below(queue.size()));
+      grid::GridJob* job = *from;
+      queue.erase(from);
+      queue.insert(queue.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.below(queue.size() + 1)),
+                   job);
+    }
+    // New arrivals.
+    for (std::size_t b = 0, arrivals = rng.below(4); b < arrivals; ++b) {
+      add_batch(queue);
+    }
+    const std::deque<grid::GridJob*> expected = oracle(queue);
+    const std::size_t runs = order.apply(queue, ledger);
+    EXPECT_GE(runs, 1u);
+    EXPECT_LE(runs, queue.size());
+    if (runs >= 3) ++merged_three_or_more_runs;
+    EXPECT_EQ(queue, expected) << "shaped trial " << trial;
+
+    // A queue already in order is one run and stays as it is.
+    EXPECT_EQ(order.apply(queue, ledger), 1u);
+    EXPECT_EQ(queue, expected);
+  }
+  EXPECT_GT(merged_three_or_more_runs, 10);
+
+  // All singletons: strictly descending keys, tied usage across users
+  // broken by id, so every job starts its own run.
+  FairShareLedger ledger{FairShareConfig{}};
+  std::deque<grid::GridJob> jobs;
+  std::deque<grid::GridJob*> queue;
+  for (UserId user = 1; user <= 20; ++user) {
+    // Users 20, 19, ... 1 get usage 10 * ((user + 1) / 2): pairs tie.
+    ledger.charge(user, 10.0 * static_cast<double>((user + 1) / 2));
+  }
+  for (UserId user = 20; user >= 1; --user) {
+    for (int copy = 0; copy < 2; ++copy) {
+      grid::GridJob& job = jobs.emplace_back();
+      job.user_id = user;
+      job.id = 1000 - jobs.size();  // descending ids within a tie
+      queue.push_back(&job);
+    }
+  }
+  std::deque<grid::GridJob*> expected(queue.rbegin(), queue.rend());
+  EXPECT_EQ(order.apply(queue, ledger), queue.size());
+  EXPECT_EQ(queue, expected);
 }
 
 TEST(FairShare, SaturationMemoIsDroppedWhenAHookCancelsMidPass) {
@@ -311,6 +405,60 @@ TEST(FairShare, SaturationMemoIsDroppedWhenAHookCancelsMidPass) {
   EXPECT_EQ(system.job(after_cancel)->resource, "busy");
 }
 
+TEST(FairShare, DeferralMemoIsDroppedWhenADispatchChargesTheUser) {
+  // One pump pass, oracle mode, every job from user 1. Two jobs fill the
+  // fast desktop "pool" to its cap, so job `a` is deferred there. Job `b`
+  // goes elsewhere, and its dispatch charges user 1 enough that the
+  // inflated estimate of `c` — a copy of `a` — no longer passes the pool's
+  // stability cutoff: `c` must be placed on "hpc", not deferred like `a`.
+  LatticeConfig config;
+  config.scheduler.mode = SchedulingMode::kOracle;
+  config.scheduler.fair_share_weight = 0.1;
+  config.scheduler_period = 60.0;
+  config.fair_share.backlog_per_slot = 1.0;
+  LatticeSystem system(config);
+  grid::CondorPool::Config pool;
+  pool.machines = 1;
+  pool.mean_speed = 4.0;
+  pool.speed_sigma = 0.0;
+  pool.mean_idle_hours = 1e6;
+  pool.software = {"x"};
+  system.add_condor_pool("pool", pool);
+  grid::BatchQueueResource::Config hpc;
+  hpc.nodes = 1;
+  hpc.cores_per_node = 1;
+  hpc.node_speed = 0.5;
+  hpc.software = {"x"};
+  system.add_cluster("hpc", hpc);
+  grid::BatchQueueResource::Config side = hpc;
+  side.software = {"y"};
+  system.add_cluster("side", side);
+  system.calibrate_speeds();
+
+  grid::JobRequirements on_x;
+  on_x.software = {"x"};
+  grid::JobRequirements on_y;
+  on_y.software = {"y"};
+  const auto submit = [&system](const grid::JobRequirements& where,
+                                double hours) {
+    return system.submit_job_with_runtime(GarliFeatures{}, hours * 3600.0,
+                                          where, 0, {}, 1);
+  };
+  const std::uint64_t first = submit(on_x, 8.0);
+  const std::uint64_t second = submit(on_x, 8.0);
+  const std::uint64_t a = submit(on_x, 8.0);
+  const std::uint64_t b = submit(on_y, 100.0);
+  const std::uint64_t c = submit(on_x, 8.0);
+
+  system.run(config.scheduler_period + 1.0);
+  EXPECT_EQ(system.job(first)->resource, "pool");
+  EXPECT_EQ(system.job(second)->resource, "pool");
+  EXPECT_EQ(system.job(a)->state, grid::JobState::kPending);
+  EXPECT_EQ(system.job(b)->resource, "side");
+  EXPECT_NE(system.job(c)->state, grid::JobState::kPending);
+  EXPECT_EQ(system.job(c)->resource, "hpc");
+}
+
 TEST(Pump, HookThatEmptiesThePendingQueueEndsThePass) {
   // The pass sizes itself from the queue length at its start. Here the
   // first job bounces off a cluster in outage, is abandoned (max_attempts
@@ -346,7 +494,8 @@ struct PumpGolden {
   std::uint64_t digest = 0;
 };
 
-PumpGolden run_pump_identity_scenario() {
+PumpGolden run_pump_identity_scenario(
+    obs::MetricsRegistry* metrics = nullptr) {
   LatticeConfig config;
   config.scheduler.mode = SchedulingMode::kEstimateAware;
   config.scheduler.fair_share_weight = 0.5;
@@ -358,6 +507,9 @@ PumpGolden run_pump_identity_scenario() {
   config.retry.backoff_base_seconds = 30.0;
   config.retry.backoff_cap_seconds = 600.0;
   LatticeSystem system(config);
+  if (metrics != nullptr) {
+    system.enable_observability(*metrics, obs::Tracer::null());
+  }
 
   grid::BatchQueueResource::Config hpc;
   hpc.nodes = 4;
@@ -441,13 +593,33 @@ PumpGolden run_pump_identity_scenario() {
 
 TEST(FairShare, PumpIdentityGoldenUnderOutageBounceAndHookCancel) {
   // Recorded from the pump that ordered its queue with a std::stable_sort
-  // over job ids and re-read the ledger per comparison; the keyed sort,
-  // the pointer queue and the saturation memo must reproduce it exactly.
+  // over job ids and re-read the ledger per comparison; the run merge,
+  // the pointer queue and the saturation and deferral memos must
+  // reproduce it exactly.
   const PumpGolden golden = run_pump_identity_scenario();
   EXPECT_EQ(golden.events_fired, 37592u);
   EXPECT_EQ(golden.completed, 224u);
   EXPECT_EQ(golden.cancelled, 16u);
   EXPECT_EQ(golden.digest, 0x53779eee13e3872eULL);
+}
+
+TEST(FairShare, DeferralMemoReplacesOnlyRepeatedDecisions) {
+  // Every job a pass looks at either gets a choose() call (counted in
+  // sched.decisions or sched.no_eligible) or is deferred on the memo
+  // (sched.deferred_repeats). The pump without the memo called choose()
+  // for every job: 57329 decisions and 0 no_eligible on this scenario,
+  // recorded from that pump. The three counters must add up to it.
+  obs::MetricsRegistry metrics;
+  const PumpGolden golden = run_pump_identity_scenario(&metrics);
+  EXPECT_EQ(golden.events_fired, 37592u);
+  EXPECT_EQ(golden.digest, 0x53779eee13e3872eULL);
+  const std::uint64_t decisions = metrics.counter_total("sched.decisions");
+  const std::uint64_t no_eligible = metrics.counter_total("sched.no_eligible");
+  const std::uint64_t repeats = metrics.counter_total("sched.deferred_repeats");
+  EXPECT_GT(repeats, 0u);
+  EXPECT_EQ(decisions + no_eligible + repeats, 57329u)
+      << decisions << " decisions, " << no_eligible << " no_eligible, "
+      << repeats << " repeats";
 }
 
 TEST(UserPopulation, PartitionsIdsAndRespectsReplicateCap) {

@@ -283,6 +283,98 @@ TEST(MetaScheduler, FairShareKeepsIndexedAndLinearChoiceIdentical) {
   }
 }
 
+TEST(MetaScheduler, SameInputsImpliesTheSameChoice) {
+  // The pump defers a job without calling choose() when same_inputs()
+  // holds against the job it deferred last, so same_inputs() must imply
+  // the same choose() answer on an unchanged directory and ledger. Pairs
+  // differ in one field at a time, so a field choose() reads but
+  // same_inputs() skips shows up as a "same" pair with two answers.
+  const core::SchedulingMode modes[] = {
+      core::SchedulingMode::kRoundRobin, core::SchedulingMode::kLoadOnly,
+      core::SchedulingMode::kEstimateAware, core::SchedulingMode::kOracle};
+  for (const core::SchedulingMode mode : modes) {
+    std::size_t same_pairs = 0;
+    for (std::uint64_t trial = 0; trial < 12; ++trial) {
+      util::Rng rng(12000 + 100 * static_cast<std::uint64_t>(mode) + trial);
+      sim::Simulation sim;
+      grid::MdsDirectory mds(sim);
+      build_directory(sim, mds, rng, 25);
+      core::SpeedCalibrator speeds(3600.0);
+      for (std::size_t i = 0; i < 25; i += 3) {
+        const double runtime = rng.uniform(1200.0, 7200.0);
+        const std::string name = "res" + std::to_string(i);
+        speeds.calibrate(name, {{runtime}});
+        mds.set_speed(name, speeds.speed_or_default(name));
+      }
+      core::FairShareLedger ledger{core::FairShareConfig{}};
+      for (core::UserId user = 1; user <= 8; ++user) {
+        ledger.charge(user, rng.uniform(0.0, 400.0 * 3600.0));
+      }
+      core::SchedulerPolicy policy;
+      policy.mode = mode;
+      policy.fair_share_weight = trial % 2 == 0 ? 0.0 : rng.uniform(0.01, 2.0);
+      policy.staging_mbps = trial % 3 == 0 ? 0.0 : rng.uniform(1.0, 100.0);
+      core::MetaScheduler scheduler(mds, speeds, policy);
+      scheduler.set_fair_share(&ledger);
+
+      for (std::uint64_t j = 0; j < 300; ++j) {
+        grid::GridJob a = random_job(rng, j);
+        a.user_id = rng.below(9);  // 0 (unattributed) through 8
+        a.require_stable = rng.bernoulli(0.3);
+        a.input_mb = rng.uniform(0.0, 20000.0);
+        a.output_mb = rng.uniform(0.0, 20000.0);
+        grid::GridJob b = a;
+        b.id = a.id + 100000;
+        switch (rng.below(8)) {
+          case 0:  // same staging volume, split differently
+            b.input_mb = a.input_mb + a.output_mb;
+            b.output_mb = 0.0;
+            break;
+          case 1:
+            if (a.estimated_reference_runtime && rng.bernoulli(0.3)) {
+              b.estimated_reference_runtime.reset();
+            } else {
+              b.estimated_reference_runtime =
+                  a.true_reference_runtime * rng.uniform(0.1, 10.0);
+            }
+            break;
+          case 2:
+            b.true_reference_runtime *= rng.uniform(0.1, 10.0);
+            break;
+          case 3:
+            b.user_id = (a.user_id + 1 + rng.below(8)) % 9;
+            break;
+          case 4:
+            b.require_stable = !a.require_stable;
+            break;
+          case 5:
+            b.output_mb += rng.uniform(1000.0, 100000.0);
+            break;
+          case 6:
+            b.requirements = random_job(rng, j).requirements;
+            break;
+          default:
+            b.requirements.min_memory_gb += 1.0 + rng.below(8);
+            break;
+        }
+        if (mode == core::SchedulingMode::kRoundRobin) {
+          ASSERT_FALSE(scheduler.same_inputs(a, a));
+          ASSERT_FALSE(scheduler.same_inputs(a, b));
+          continue;
+        }
+        if (!scheduler.same_inputs(a, b)) continue;
+        ++same_pairs;
+        ASSERT_EQ(scheduler.choose(a), scheduler.choose(b))
+            << "mode " << scheduling_mode_name(mode) << " trial " << trial
+            << " job " << j;
+      }
+    }
+    if (mode != core::SchedulingMode::kRoundRobin) {
+      EXPECT_GT(same_pairs, 100u) << scheduling_mode_name(mode);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Rank index (best_ranked) vs linear argmin reference
 // ---------------------------------------------------------------------
